@@ -29,16 +29,10 @@ func StreamRunConfig(cfg Config, app string, mode engine.Mode) (stream.Config, e
 	if err != nil {
 		return stream.Config{}, err
 	}
-	// Injected faults make first attempts fail by design; match the
-	// batch drivers' retry budget.
-	attempts := 0
-	if cfg.Injector != nil {
-		attempts = 4
-	}
 	return stream.Config{
+		Policy:   cfg.policy(),
 		App:      spec,
 		Mode:     mode,
-		Backend:  cfg.Backend,
 		Workers:  cfg.Workers,
 		MapSlots: 2,
 		Reducers: cfg.Partitions,
@@ -50,20 +44,8 @@ func StreamRunConfig(cfg Config, app string, mode engine.Mode) (stream.Config, e
 		WindowBy: stream.Window{Size: 8 * time.Millisecond},
 		Windows:  2 + cfg.Scale,
 
-		MaxAttempts:     attempts,
-		Breaker:         cfg.Breaker,
-		Hedge:           cfg.Hedge,
 		CheckpointEvery: cfg.CheckpointEvery,
-		StageDeadline:   cfg.StageDeadline,
-		Injector:        cfg.Injector,
-		VerifyInputs:    cfg.Injector != nil,
-		Trace:           cfg.Trace,
 		Shuffle:         scfg,
-		Checkpoints:     cfg.Checkpoints,
-		Lineage:         cfg.Lineage,
-		JobID:           cfg.JobID,
-		Tenant:          cfg.Tenant,
-		Canceled:        cfg.Canceled,
 	}, nil
 }
 

@@ -125,6 +125,33 @@ func (c Config) shuffleConfig() (shuffle.Config, error) {
 	}, nil
 }
 
+// policy resolves the Config's execution policy, shared by every job
+// the experiments run. Injected faults make first attempts fail by
+// design, so an injector also widens the retry budget and arms the
+// mutate-input canary.
+func (c Config) policy() engine.Policy {
+	p := engine.Policy{
+		Backend: c.Backend, Breaker: c.Breaker, Hedge: c.Hedge,
+		StageDeadline: c.StageDeadline, Injector: c.Injector, VerifyInputs: c.Injector != nil,
+		Trace: c.Trace, Tenant: c.Tenant, JobID: c.JobID,
+		Checkpoints: c.Checkpoints, Lineage: c.Lineage, Canceled: c.Canceled,
+	}
+	if c.Injector != nil {
+		p.MaxAttempts = 4
+	}
+	return p
+}
+
+// onStage adapts StageHook to one job's stage hook (nil when unset).
+func (c Config) onStage(app string, mode engine.Mode) func(string, *metrics.Breakdown, time.Duration) {
+	if c.StageHook == nil {
+		return nil
+	}
+	return func(stage string, stats *metrics.Breakdown, wall time.Duration) {
+		c.StageHook(app, mode, stage, stats, wall)
+	}
+}
+
 // Quick returns the configuration used by `go test`.
 func Quick() Config { return Config{Scale: 1, Workers: 2, Partitions: 2, Iters: 2} }
 
@@ -244,33 +271,13 @@ func runSparkApp(app string, cfg Config, hc heap.Config, mode engine.Mode) (spar
 		prog := sparkapps.NewProgram(topTypes...)
 		comp := engine.Compile(prog)
 		ctx := spark.NewContext(comp, mode)
+		ctx.Policy = cfg.policy()
 		ctx.Workers = cfg.Workers
 		ctx.Partitions = cfg.Partitions
 		ctx.HeapCfg = hc
-		ctx.Backend = cfg.Backend
-		ctx.Hedge = cfg.Hedge
-		ctx.Trace = cfg.Trace
 		ctx.Shuffle = scfg
 		ctx.CheckpointEvery = cfg.CheckpointEvery
-		ctx.StageDeadline = cfg.StageDeadline
-		ctx.Tenant = cfg.Tenant
-		ctx.JobID = cfg.JobID
-		ctx.Canceled = cfg.Canceled
-		if cfg.Breaker != nil {
-			ctx.Breaker = cfg.Breaker
-		}
-		ctx.Checkpoints = cfg.Checkpoints
-		ctx.Lineage = cfg.Lineage
-		if cfg.StageHook != nil {
-			ctx.OnStage = func(stage string, stats *metrics.Breakdown, wall time.Duration) {
-				cfg.StageHook(app, mode, stage, stats, wall)
-			}
-		}
-		if cfg.Injector != nil {
-			ctx.Injector = cfg.Injector
-			ctx.VerifyInputs = true
-			ctx.MaxAttempts = 4
-		}
+		ctx.OnStage = cfg.onStage(app, mode)
 		return ctx, comp
 	}
 	done := func(ctx *spark.Context, out []byte) (sparkAppResult, error) {
@@ -507,36 +514,16 @@ func runHadoopAppHeaps(app string, cfg Config, mode engine.Mode, yak bool, mapHe
 		return nil, nil, err
 	}
 	prog, conf := hadoopapps.NewProgram(app)
+	conf.Policy = cfg.policy()
 	conf.Mode = mode
-	conf.Backend = cfg.Backend
 	conf.Workers = cfg.Workers
 	conf.Reducers = cfg.Partitions
 	conf.EpochPerTask = yak
 	conf.MapHeap = mapHeap
 	conf.ReduceHeap = reduceHeap
-	conf.Hedge = cfg.Hedge
-	conf.Trace = cfg.Trace
 	conf.Shuffle = scfg
 	conf.CheckpointEvery = cfg.CheckpointEvery
-	conf.StageDeadline = cfg.StageDeadline
-	conf.Tenant = cfg.Tenant
-	conf.JobID = cfg.JobID
-	conf.Canceled = cfg.Canceled
-	if cfg.Breaker != nil {
-		conf.Breaker = cfg.Breaker
-	}
-	conf.Checkpoints = cfg.Checkpoints
-	conf.Lineage = cfg.Lineage
-	if cfg.StageHook != nil {
-		conf.OnStage = func(stage string, stats *metrics.Breakdown, wall time.Duration) {
-			cfg.StageHook(app, mode, stage, stats, wall)
-		}
-	}
-	if cfg.Injector != nil {
-		conf.Injector = cfg.Injector
-		conf.VerifyInputs = true
-		conf.MaxAttempts = 4
-	}
+	conf.OnStage = cfg.onStage(app, mode)
 	comp := engine.Compile(prog)
 	splits, err := hadoopSplits(comp, app, cfg)
 	if err != nil {

@@ -113,6 +113,11 @@ func (c *canceler) sleep(d time.Duration) bool {
 		time.Sleep(d)
 		return false
 	}
+	// An already-canceled attempt must not race a tiny d: with both the
+	// timer and the cancel channel ready, select would pick at random.
+	if c.flag.Load() {
+		return true
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -186,6 +191,8 @@ func (e *Executor) runTaskHedged(spec TaskSpec, task *trace.Span, start time.Tim
 
 	var nr attemptOutcome
 	nativeFirst := false
+	// First finisher wins: a native attempt that completes just as the
+	// hedge delay expires may go either way, and both outcomes are valid.
 	select {
 	case nr = <-nativeCh:
 		nativeFirst = true

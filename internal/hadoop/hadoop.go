@@ -10,16 +10,12 @@
 package hadoop
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/heap"
 	"repro/internal/metrics"
-	"repro/internal/recovery"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
 	"repro/internal/trace"
@@ -27,25 +23,13 @@ import (
 
 // JobConf configures one MapReduce job.
 type JobConf struct {
+	// Policy is the execution policy every phase and the shuffle of the
+	// job run under (retries, hedging, watchdog, chaos, tracing, recovery
+	// stores, cancellation). The job span carries the job's phase spans
+	// and the per-task spans every executor emits.
+	engine.Policy
+
 	Name string
-	// JobID, when set, namespaces the job's durable recovery state
-	// (checkpoints, lineage) so concurrent jobs — which reuse app names
-	// and hence exchange names like "IUF-shuffle" — can never serve each
-	// other's bytes. The cluster service sets it to the submission ID.
-	JobID string
-	// Tenant, when set, labels the per-task latency series this job's
-	// executors emit into the trace registry.
-	Tenant string
-	// Checkpoints and Lineage, when set, are the shared stores recovery
-	// state persists to (scoped by JobID). nil keeps private per-job
-	// stores.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-	// Canceled, when set, is polled at every phase boundary: once it is
-	// closed (cluster.Job.Cancel) the next phase does not start and the
-	// job fails with engine.ErrCanceled. In-flight tasks drain;
-	// cancellation is cooperative, never mid-record.
-	Canceled <-chan struct{}
 	// MapDriver reads records of InClass from source "in" and emits
 	// MapOutClass records.
 	MapDriver string
@@ -65,9 +49,6 @@ type JobConf struct {
 	Reducers int
 	Workers  int
 	Mode     engine.Mode
-	// Backend selects the native execution strategy (closure-compiled
-	// chains by default) for every executor the job creates.
-	Backend engine.Backend
 	// MapHeap and ReduceHeap size the per-task heaps (the paper gives
 	// mappers and reducers different heaps).
 	MapHeap    heap.Config
@@ -77,35 +58,10 @@ type JobConf struct {
 	EpochPerTask bool
 	ClosureBytes int
 
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults: 3 attempts, no backoff).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// Breaker, when set, adaptively de-speculates drivers that keep
-	// aborting, shared by map and reduce executors alike.
-	Breaker *engine.Breaker
-	// Hedge, when enabled, races the untransformed heap attempt against
-	// straggling native attempts in every phase (map, combine, reduce).
-	Hedge engine.HedgeConfig
 	// CheckpointEvery persists each task's fold state every N completed
 	// invocations so a killed attempt resumes from its last checkpoint
 	// instead of restarting (0 = off).
 	CheckpointEvery int
-	// StageDeadline runs each phase (map, combine, reduce, shuffle fetch)
-	// under a watchdog that converts a hang into a retryable timeout;
-	// timed-out pool phases are re-executed once (0 = no watchdog).
-	StageDeadline time.Duration
-	// Jitter randomizes task-retry and shuffle-fetch backoff with full
-	// jitter; nil keeps the deterministic delay schedule.
-	Jitter *engine.Jitter
-	// Injector, when set, derives a deterministic fault plan for every
-	// task (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	// Trace, when set, receives a job span with map/sort/combine/
-	// shuffle/merge/reduce phase spans plus the per-task spans every
-	// executor emits.
-	Trace *trace.Tracer
 	// OnStage, when set, observes each pooled phase (map, combine,
 	// reduce) as it completes: it runs before the phase's stats fold
 	// into the job result, so the hook may enrich stats (the
@@ -114,13 +70,10 @@ type JobConf struct {
 	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
 	// Shuffle configures the exchange between mappers and reducers:
 	// memory budget (spill threshold), block compression, simulated
-	// transport, fetch retry/breaker policy, block replication. Reducers,
-	// Trace and (when unset) Injector are filled from the job conf.
+	// transport, fetch retry/breaker policy, block replication.
+	// Reducers, Trace, Lineage and (when unset) Injector and Jitter are
+	// filled from the job conf.
 	Shuffle shuffle.Config
-
-	// ckpts is the per-job checkpoint store, created in Run when
-	// CheckpointEvery is on and threaded to every phase's specs.
-	ckpts *recovery.CheckpointStore
 }
 
 func (c JobConf) withDefaults() JobConf {
@@ -161,23 +114,9 @@ type Result struct {
 // Run executes the job over the given input splits.
 func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 	conf = conf.withDefaults()
-	if conf.CheckpointEvery > 0 {
-		store := conf.Checkpoints
-		if store == nil {
-			store = recovery.NewCheckpointStore()
-		}
-		if conf.JobID != "" {
-			store = store.Scope(conf.JobID)
-		}
-		conf.ckpts = store
-	}
 	res := &Result{}
 	start := time.Now()
 
-	// EnsureTrace is mutex-guarded: jobs sharing one breaker may reach
-	// this line concurrently (a bare check-then-set here was a data race
-	// under multi-tenant load).
-	conf.Breaker.EnsureTrace(conf.Trace)
 	job := conf.Trace.StartSpan("job", conf.Name, trace.Str("mode", conf.Mode.String()))
 	jobOutcome := "error"
 	defer func() { job.End(trace.Str("outcome", jobOutcome)) }()
@@ -202,22 +141,11 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 			},
 			ClosureBytes:       conf.ClosureBytes,
 			EpochPerInvocation: conf.EpochPerTask,
-			Faults:             conf.Injector.ForTask(fmt.Sprintf("%s-map%d", conf.Name, i)),
-			CheckpointEvery:    conf.CheckpointEvery,
-			Checkpoints:        conf.ckpts,
 		}
-	}
-	pool := &engine.Pool{Workers: conf.Workers, MaxAttempts: conf.MaxAttempts,
-		Backoff: conf.RetryBackoff, Jitter: conf.Jitter}
-	mapExec := func() *engine.Executor {
-		return &engine.Executor{C: c, Mode: conf.Mode, HeapCfg: conf.MapHeap,
-			Backend: conf.Backend,
-			Breaker: conf.Breaker, VerifyInputs: conf.VerifyInputs,
-			Hedge: conf.Hedge, Trace: conf.Trace, Tenant: conf.Tenant}
 	}
 	mapStage := job.Child("stage", "map", trace.I64("tasks", int64(len(mapSpecs))))
 	mapStart := time.Now()
-	mapJob, err := runPhase(conf, pool, mapExec, conf.Name+"/map", mapSpecs)
+	mapJob, err := conf.runPhase(c, "map", conf.MapHeap, mapSpecs)
 	mapWall := time.Since(mapStart)
 	mapStage.End()
 	if mapJob != nil {
@@ -241,14 +169,13 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 	sortSpan := job.Child("stage", "map-sort")
 	mapOuts := mapJob.Outputs
 	for i, out := range mapOuts {
-		sorted := SortByKey(c, conf.MapOutClass, conf.KeyField, out)
-		mapOuts[i] = sorted
+		mapOuts[i] = engine.SortByKey(c, conf.MapOutClass, conf.KeyField, out)
 	}
 	sortSpan.End()
 	res.Stats.Total += time.Since(sortStart)
 	if conf.CombineDriver != "" {
 		combStart := time.Now()
-		combined, cjob, err := foldGroups(c, conf, pool, conf.CombineDriver,
+		combined, cjob, err := foldGroups(c, conf, conf.CombineDriver,
 			conf.MapOutClass, mapOuts, conf.MapHeap, "combine", job, false)
 		if cjob != nil {
 			if conf.OnStage != nil {
@@ -266,63 +193,25 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 	// ---- shuffle: route map outputs through the exchange ----
 	shufStart := time.Now()
 	shufSpan := job.Child("stage", "shuffle")
-	scfg := conf.Shuffle
-	scfg.Partitions = conf.Reducers
-	scfg.Trace = conf.Trace
-	if scfg.Injector == nil {
-		scfg.Injector = conf.Injector
-	}
-	if scfg.Jitter == nil {
-		scfg.Jitter = conf.Jitter
-	}
-	if scfg.Lineage == nil {
-		// The shared registry scoped by JobID when both were provided,
-		// else a private one. Exchange names repeat across jobs running
-		// the same app ("IUF-shuffle"), so an unscoped shared registry
-		// would alias their producers.
-		base := conf.Lineage
-		if base == nil {
-			base = recovery.NewLineage()
-		}
-		if conf.JobID != "" {
-			base = base.Scope(conf.JobID)
-		}
-		scfg.Lineage = base
-	}
 	var codec *serde.Codec
 	if conf.Mode == engine.Baseline {
 		codec = c.Codec
 	}
-	exName := conf.Name + "-shuffle"
-	ex, err := shuffle.NewExchange(shuffle.NewStore(), scfg, exName,
-		c.Layouts, conf.MapOutClass, conf.KeyField, codec)
+	ex, err := shuffle.NewExchange(shuffle.NewStore(), conf.Shuffle.ForPolicy(&conf.Policy, conf.Reducers),
+		conf.Name+"-shuffle", c.Layouts, conf.MapOutClass, conf.KeyField, codec)
 	if err != nil {
 		res.Wall = time.Since(start)
 		return res, fmt.Errorf("hadoop: shuffle: %w", err)
 	}
+	// Each map output is retained (sorted, combined) as its block
+	// lineage: losing every replica re-runs just that writer.
 	for i, out := range mapOuts {
-		w := ex.Writer(i)
-		if err := w.Add(out); err != nil {
+		if err := ex.WriteMap(i, out); err != nil {
 			res.Wall = time.Since(start)
 			return res, fmt.Errorf("hadoop: shuffle: %w", err)
 		}
-		if err := w.Close(); err != nil {
-			res.Wall = time.Since(start)
-			return res, fmt.Errorf("hadoop: shuffle: %w", err)
-		}
-		// Block lineage: losing every replica of this map output re-runs
-		// just this writer over the retained (sorted, combined) bytes.
-		part := out
-		mapTask := i
-		scfg.Lineage.Register(exName, mapTask, func() error {
-			rw := ex.RecoveryWriter(mapTask)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
 	}
-	blocks, err := guardedFetch(conf, exName, ex)
+	blocks, err := ex.Fetch(&conf.Policy)
 	if err != nil {
 		res.Wall = time.Since(start)
 		return res, fmt.Errorf("hadoop: shuffle: %w", err)
@@ -338,12 +227,12 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 	mergeStart := time.Now()
 	mergeSpan := job.Child("stage", "merge-sort")
 	for i := range blocks {
-		blocks[i] = SortByKey(c, conf.MapOutClass, conf.KeyField, blocks[i])
+		blocks[i] = engine.SortByKey(c, conf.MapOutClass, conf.KeyField, blocks[i])
 	}
 	mergeSpan.End()
 	res.Stats.Total += time.Since(mergeStart)
 	reduceStart := time.Now()
-	outs, rjob, err := foldGroups(c, conf, pool, conf.ReduceDriver,
+	outs, rjob, err := foldGroups(c, conf, conf.ReduceDriver,
 		conf.MapOutClass, blocks, conf.ReduceHeap, "reduce", job, true)
 	if rjob != nil {
 		if conf.OnStage != nil {
@@ -368,7 +257,7 @@ func Run(c *engine.Compiled, conf JobConf, splits [][]byte) (*Result, error) {
 // owned marks the blocks as freshly assembled for their task alone (the
 // reduce side's fetched-and-merge-sorted buffers), letting the native
 // attempt adopt them into its arena zero-copy.
-func foldGroups(c *engine.Compiled, conf JobConf, pool *engine.Pool, driver, class string,
+func foldGroups(c *engine.Compiled, conf JobConf, driver, class string,
 	blocks [][]byte, heapCfg heap.Config, phase string, job *trace.Span, owned bool) ([][]byte, *engine.JobResult, error) {
 	var specs []engine.TaskSpec
 	var blockOf []int
@@ -392,9 +281,6 @@ func foldGroups(c *engine.Compiled, conf JobConf, pool *engine.Pool, driver, cla
 			Invocations:        invocations,
 			ClosureBytes:       conf.ClosureBytes,
 			EpochPerInvocation: conf.EpochPerTask,
-			Faults:             conf.Injector.ForTask(fmt.Sprintf("%s-%s%d", conf.Name, phase, i)),
-			CheckpointEvery:    conf.CheckpointEvery,
-			Checkpoints:        conf.ckpts,
 		})
 		blockOf = append(blockOf, i)
 	}
@@ -402,14 +288,8 @@ func foldGroups(c *engine.Compiled, conf JobConf, pool *engine.Pool, driver, cla
 	if len(specs) == 0 {
 		return outs, &engine.JobResult{}, nil
 	}
-	exec := func() *engine.Executor {
-		return &engine.Executor{C: c, Mode: conf.Mode, HeapCfg: heapCfg,
-			Backend: conf.Backend,
-			Breaker: conf.Breaker, VerifyInputs: conf.VerifyInputs,
-			Hedge: conf.Hedge, Trace: conf.Trace, Tenant: conf.Tenant}
-	}
 	stage := job.Child("stage", phase, trace.I64("tasks", int64(len(specs))))
-	result, err := runPhase(conf, pool, exec, conf.Name+"/"+phase, specs)
+	result, err := conf.runPhase(c, phase, heapCfg, specs)
 	stage.End()
 	if err != nil {
 		// result carries the partial accounting; the caller folds it in.
@@ -421,65 +301,11 @@ func foldGroups(c *engine.Compiled, conf JobConf, pool *engine.Pool, driver, cla
 	return outs, result, nil
 }
 
-// runPhase executes one phase's pool under the stage watchdog; a phase
-// whose deadline expires is presumed hung and re-executed once, with
-// checkpointed tasks resuming from their last persisted fold state.
-func runPhase(conf JobConf, pool *engine.Pool, exec func() *engine.Executor,
-	name string, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if err := engine.Canceled(conf.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if conf.StageDeadline <= 0 {
-		return pool.Run(exec, specs)
-	}
-	wd := recovery.Watchdog{Deadline: conf.StageDeadline, Trace: conf.Trace}
-	run := func() (any, error) { return pool.Run(exec, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
-}
-
-// guardedFetch bounds the reduce-side fetch with the stage watchdog;
-// the exchange is terminal, so a timeout surfaces as the job error.
-func guardedFetch(conf JobConf, name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if err := engine.Canceled(conf.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if conf.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: conf.StageDeadline, Trace: conf.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
-}
-
-// SortByKey rebuilds buf with its records sorted by canonical key bytes —
-// the map-side sort both modes pay, mirroring Hadoop's in-memory sort of
-// serialized key-value pairs.
-func SortByKey(c *engine.Compiled, class, field string, buf []byte) []byte {
-	offs := engine.RecordOffsets(buf)
-	keys := make([]string, len(offs))
-	for i, off := range offs {
-		k, err := engine.KeyOf(c.Layouts, class, field, buf, off)
-		if err != nil {
-			// Sorting is engine machinery; schema errors here are bugs.
-			panic(fmt.Sprintf("hadoop: SortByKey: %v", err))
-		}
-		keys[i] = string(k)
-	}
-	idx := make([]int, len(offs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]byte, 0, len(buf))
-	for _, i := range idx {
-		off := offs[i]
-		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
-	}
-	return out
+// runPhase runs one pooled phase under the job's policy, guarded by
+// the watchdog as "<job>/<phase>".
+func (conf *JobConf) runPhase(c *engine.Compiled, phase string, heapCfg heap.Config,
+	specs []engine.TaskSpec) (*engine.JobResult, error) {
+	return engine.RunStage(&conf.Policy, engine.Stage{Name: conf.Name + "/" + phase, C: c,
+		Mode: conf.Mode, Workers: conf.Workers, HeapCfg: heapCfg,
+		CheckpointEvery: conf.CheckpointEvery, Specs: specs})
 }

@@ -205,7 +205,7 @@ func TestSortByKeyOrdersRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sorted := SortByKey(comp, "WordCount", "word", buf)
+	sorted := engine.SortByKey(comp, "WordCount", "word", buf)
 	var order []string
 	for off := 0; off < len(sorted); {
 		v, next, err := comp.Codec.Decode("WordCount", sorted, off)

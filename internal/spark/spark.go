@@ -13,17 +13,14 @@
 package spark
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/heap"
 	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/recovery"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
 	"repro/internal/trace"
@@ -31,6 +28,11 @@ import (
 
 // Context is a "SparkContext": configuration plus accumulated job stats.
 type Context struct {
+	// Policy is the execution policy every stage and shuffle of the
+	// context runs under (retries, hedging, watchdog, chaos, tracing,
+	// recovery stores, cancellation).
+	engine.Policy
+
 	C          *engine.Compiled
 	Mode       engine.Mode
 	Workers    int
@@ -45,64 +47,10 @@ type Context struct {
 	// task) and then stops — the Figure 10(b) "k forced aborts" knob.
 	ForcedAbortBudget int
 
-	// Canceled, when set, is polled at every stage boundary: once it is
-	// closed (cluster.Job.Cancel, a stream shutdown) the next stage does
-	// not start and the job fails with engine.ErrCanceled. In-flight
-	// tasks drain; cancellation is cooperative, never mid-record.
-	Canceled <-chan struct{}
-
-	// JobID, when set, namespaces this context's durable recovery state
-	// (checkpoints, lineage): all keys derived from task and exchange
-	// names are scoped by it, so concurrent jobs sharing the stores
-	// below — or merely same-named exchanges in one service process —
-	// can never serve each other's bytes. The cluster service sets it to
-	// the submission ID; standalone contexts may leave it empty (their
-	// stores are private anyway).
-	JobID string
-	// Tenant, when set, labels the per-task latency series this
-	// context's executors emit into the trace registry.
-	Tenant string
-	// Checkpoints and Lineage, when set, are the shared stores recovery
-	// state persists to (scoped by JobID). nil keeps private per-context
-	// stores, created lazily.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults: 3 attempts, no backoff).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	// Breaker, when set, adaptively de-speculates drivers that keep
-	// aborting; it is shared by every stage's executors. nil keeps the
-	// paper's always-speculate semantics (Figure 10).
-	Breaker *engine.Breaker
-	// Hedge, when enabled, races the untransformed heap attempt against
-	// any native attempt that outlives the hedge delay (straggler
-	// mitigation); the zero value keeps serial recovery.
-	Hedge engine.HedgeConfig
 	// CheckpointEvery persists each task's fold state every N completed
 	// invocations, so a killed attempt resumes from its last checkpoint
 	// instead of restarting (0 = off).
 	CheckpointEvery int
-	// StageDeadline runs every stage under a watchdog: a stage exceeding
-	// it is presumed hung, converted into a retryable timeout, and
-	// re-executed once — checkpointed tasks resume where they were
-	// (0 = no watchdog).
-	StageDeadline time.Duration
-	// Jitter randomizes task-retry and shuffle-fetch backoff with full
-	// jitter; nil keeps the deterministic delay schedule.
-	Jitter *engine.Jitter
-	// Injector, when set, derives a deterministic fault plan for every
-	// task (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	// Backend selects the native execution strategy for every executor
-	// this context creates: closure-compiled chains (zero value) or the
-	// interpreter.
-	Backend engine.Backend
-	// Trace, when set, receives stage spans from the context and
-	// task/attempt/phase spans from every executor it creates.
-	Trace *trace.Tracer
 	// OnStage, when set, observes every stage boundary: it runs after
 	// the stage's pool drains but before its stats fold into the
 	// context, so the hook may enrich stats (the observability plane
@@ -112,8 +60,9 @@ type Context struct {
 	OnStage func(stage string, stats *metrics.Breakdown, wall time.Duration)
 	// Shuffle configures the exchange every wide operation routes
 	// through: memory budget (spill threshold), block compression,
-	// simulated transport, fetch retry/breaker policy. Partitions, Trace
-	// and (when unset) Injector are filled from the context per shuffle.
+	// simulated transport, fetch retry/breaker policy. Partitions,
+	// Trace, Lineage and (when unset) Injector and Jitter are filled
+	// from the context per shuffle.
 	Shuffle shuffle.Config
 
 	Stats  metrics.Breakdown
@@ -123,25 +72,6 @@ type Context struct {
 
 	shuffleStore *shuffle.Store
 	shuffleSeq   int
-	checkpoints  *recovery.CheckpointStore
-	lineage      *recovery.Lineage
-}
-
-// ckpts lazily resolves the context's checkpoint store — the shared
-// store scoped by JobID when one was provided, else a private one; nil
-// when checkpointing is off.
-func (ctx *Context) ckpts() *recovery.CheckpointStore {
-	if ctx.CheckpointEvery > 0 && ctx.checkpoints == nil {
-		store := ctx.Checkpoints
-		if store == nil {
-			store = recovery.NewCheckpointStore()
-		}
-		if ctx.JobID != "" {
-			store = store.Scope(ctx.JobID)
-		}
-		ctx.checkpoints = store
-	}
-	return ctx.checkpoints
 }
 
 // NewContext creates a context with sane defaults.
@@ -196,44 +126,18 @@ func (ctx *Context) abortKnob() int64 {
 	return 0
 }
 
-func (ctx *Context) executor() *engine.Executor {
-	return &engine.Executor{
-		C: ctx.C, Mode: ctx.Mode, HeapCfg: ctx.HeapCfg, Backend: ctx.Backend,
-		Breaker: ctx.Breaker, VerifyInputs: ctx.VerifyInputs,
-		Hedge: ctx.Hedge, Trace: ctx.Trace, Tenant: ctx.Tenant,
-	}
-}
-
 func (ctx *Context) runStage(name string, specs []engine.TaskSpec) ([][]byte, error) {
-	if err := engine.Canceled(ctx.Canceled); err != nil {
-		return nil, fmt.Errorf("spark: stage %s: %w", name, err)
-	}
+	// Compile before the stage clock starts; RunStage's own compile is
+	// then a cache hit.
 	if err := ctx.C.CompileDriver(specs[0].Driver); err != nil {
 		return nil, fmt.Errorf("spark: compiling %s: %w", specs[0].Driver, err)
 	}
-	if ctx.Injector != nil {
-		for i := range specs {
-			specs[i].Faults = ctx.Injector.ForTask(specs[i].Name)
-		}
-	}
-	if ctx.CheckpointEvery > 0 {
-		store := ctx.ckpts()
-		for i := range specs {
-			specs[i].CheckpointEvery = ctx.CheckpointEvery
-			specs[i].Checkpoints = store
-		}
-	}
-	// EnsureTrace is mutex-guarded: contexts sharing one breaker may
-	// reach this line concurrently (a bare check-then-set here was a
-	// data race under multi-tenant load).
-	ctx.Breaker.EnsureTrace(ctx.Trace)
 	stage := ctx.Trace.StartSpan("stage", name,
 		trace.Str("mode", ctx.Mode.String()), trace.I64("tasks", int64(len(specs))))
 	start := time.Now()
-	pool := &engine.Pool{Workers: ctx.Workers, MaxAttempts: ctx.MaxAttempts,
-		Backoff: ctx.RetryBackoff, Jitter: ctx.Jitter}
-	job, err := ctx.guarded(name, pool, specs)
-	// The pool returns partial results alongside a job error; fold them
+	job, err := engine.RunStage(&ctx.Policy, engine.Stage{Name: name, C: ctx.C, Mode: ctx.Mode,
+		Workers: ctx.Workers, HeapCfg: ctx.HeapCfg, CheckpointEvery: ctx.CheckpointEvery, Specs: specs})
+	// RunStage returns partial results alongside a job error; fold them
 	// into the context either way so a failed stage's completed tasks
 	// still show up in the accounting.
 	if job != nil {
@@ -252,24 +156,6 @@ func (ctx *Context) runStage(name string, specs []engine.TaskSpec) ([][]byte, er
 	}
 	stage.End(trace.Str("outcome", "ok"))
 	return job.Outputs, nil
-}
-
-// guarded runs the stage's pool under the stage watchdog. A stage whose
-// deadline expires is presumed hung, not wrong: it is re-executed once
-// from scratch, and checkpointed tasks resume from their last persisted
-// fold state instead of repeating finished work.
-func (ctx *Context) guarded(name string, pool *engine.Pool, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if ctx.StageDeadline <= 0 {
-		return pool.Run(ctx.executor, specs)
-	}
-	wd := recovery.Watchdog{Deadline: ctx.StageDeadline, Trace: ctx.Trace}
-	run := func() (any, error) { return pool.Run(ctx.executor, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
 }
 
 // MapPartitions runs the named stage driver once per partition. The
@@ -308,32 +194,6 @@ func (r *RDD) shuffle(keyField string) ([][]byte, error) {
 	ctx := r.ctx
 	start := time.Now()
 	defer func() { ctx.Stats.Total += time.Since(start) }()
-	cfg := ctx.Shuffle
-	cfg.Partitions = ctx.Partitions
-	cfg.Trace = ctx.Trace
-	if cfg.Injector == nil {
-		cfg.Injector = ctx.Injector
-	}
-	if cfg.Jitter == nil {
-		cfg.Jitter = ctx.Jitter
-	}
-	if cfg.Lineage == nil {
-		if ctx.lineage == nil {
-			// The shared registry scoped by JobID when both were
-			// provided, else a private one. Exchange names are
-			// context-local ("shuffle-1-…"), so sharing an unscoped
-			// registry across jobs would alias their producers.
-			base := ctx.Lineage
-			if base == nil {
-				base = recovery.NewLineage()
-			}
-			if ctx.JobID != "" {
-				base = base.Scope(ctx.JobID)
-			}
-			ctx.lineage = base
-		}
-		cfg.Lineage = ctx.lineage
-	}
 	var codec *serde.Codec
 	if ctx.Mode == engine.Baseline {
 		codec = ctx.C.Codec
@@ -343,50 +203,22 @@ func (r *RDD) shuffle(keyField string) ([][]byte, error) {
 	}
 	ctx.shuffleSeq++
 	name := fmt.Sprintf("shuffle-%d-%s.%s", ctx.shuffleSeq, r.Class, keyField)
-	ex, err := shuffle.NewExchange(ctx.shuffleStore, cfg, name, ctx.C.Layouts, r.Class, keyField, codec)
+	ex, err := shuffle.NewExchange(ctx.shuffleStore, ctx.Shuffle.ForPolicy(&ctx.Policy, ctx.Partitions),
+		name, ctx.C.Layouts, r.Class, keyField, codec)
 	if err != nil {
 		return nil, fmt.Errorf("spark: %w", err)
 	}
 	for i, p := range r.Parts {
-		w := ex.Writer(i)
-		if err := w.Add(p); err != nil {
+		if err := ex.WriteMap(i, p); err != nil {
 			return nil, fmt.Errorf("spark: %w", err)
 		}
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("spark: %w", err)
-		}
-		// Record the block lineage: losing every replica of this map
-		// task's output re-runs exactly this writer, whose determinism
-		// makes the rebuilt blocks byte-identical to the lost ones.
-		part := p
-		mapTask := i
-		cfg.Lineage.Register(name, mapTask, func() error {
-			rw := ex.RecoveryWriter(mapTask)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
 	}
-	blocks, err := ctx.guardedFetch(name, ex)
+	blocks, err := ex.Fetch(&ctx.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("spark: %w", err)
 	}
 	ex.Stats().AddTo(&ctx.Stats)
 	return blocks, nil
-}
-
-// guardedFetch bounds the reduce-side fetch with the stage watchdog. A
-// fetch has no second act (the exchange is terminal), so a timeout here
-// surfaces as a retryable stage error to the caller.
-func (ctx *Context) guardedFetch(name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if ctx.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: ctx.StageDeadline, Trace: ctx.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
 }
 
 // ReduceByKey shuffles by keyField and folds each key group through the

@@ -1,14 +1,18 @@
 package spark
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/ir"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serde"
 	"repro/internal/shuffle"
+	"repro/internal/trace"
 )
 
 // buildPairProgram defines Pair{key long, value double} with a doubling
@@ -275,6 +279,44 @@ func TestShuffleSpillCompressedJobMatchesInMemory(t *testing.T) {
 			if ctx.Stats.ShuffleWrite == 0 || ctx.Stats.ShuffleRead == 0 {
 				t.Errorf("%v/%v: shuffle time accounting empty", mode, comp)
 			}
+		}
+	}
+}
+
+// TestCancelBeforeShuffleFetch closes the cancellation channel from the
+// map stage's hook: the following ReduceByKey must stop with
+// engine.ErrCanceled before any shuffle block is fetched, like the
+// Hadoop and streaming exchanges do.
+func TestCancelBeforeShuffleFetch(t *testing.T) {
+	prog := buildPairProgram(t)
+	comp := engine.Compile(prog)
+	ctx := NewContext(comp, engine.Gerenuk)
+	ctx.Workers = 2
+	ctx.Partitions = 2
+	tr := trace.New()
+	ctx.Trace = tr
+	canceled := make(chan struct{})
+	ctx.Canceled = canceled
+	ctx.OnStage = func(stage string, _ *metrics.Breakdown, _ time.Duration) {
+		if stage == "doubleStage" {
+			close(canceled)
+		}
+	}
+	var pairs [][2]float64
+	for i := 0; i < 20; i++ {
+		pairs = append(pairs, [2]float64{float64(i % 5), float64(i)})
+	}
+	doubled, err := ctx.Parallelize("Pair", encodePairs(t, comp.Codec, pairs, 2)).
+		MapPartitions("doubleStage", "Pair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doubled.ReduceByKey("sumStage", "key"); !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("ReduceByKey after cancel: err = %v, want engine.ErrCanceled", err)
+	}
+	for _, e := range tr.Events() {
+		if e.Cat == "shuffle" && e.Name == "fetch" {
+			t.Fatalf("canceled job still fetched shuffle blocks")
 		}
 	}
 }

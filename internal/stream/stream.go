@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/heap"
 	"repro/internal/metrics"
 	"repro/internal/recovery"
@@ -61,9 +60,17 @@ var ErrCrashed = errors.New("stream: crashed by test hook")
 
 // Config configures one streaming run.
 type Config struct {
-	App     AppSpec
-	Mode    engine.Mode
-	Backend engine.Backend
+	// Policy is the execution policy every map/reduce phase and window
+	// exchange of the run runs under. Its Checkpoints store also holds
+	// the window state (always checkpointed): pass a disk-backed store
+	// to survive process restarts. Its Canceled channel is additionally
+	// polled at every batch boundary: once closed, open windows are
+	// abandoned (no spill or block leaks) and the run fails with
+	// engine.ErrCanceled.
+	engine.Policy
+
+	App  AppSpec
+	Mode engine.Mode
 	// Workers sizes the task pool; MapSlots is the number of live map
 	// writers (shuffle producers) per window; Reducers the number of
 	// shuffle partitions (= reduce tasks) per window.
@@ -83,39 +90,13 @@ type Config struct {
 	// Windows is how many windows to run to completion.
 	Windows int
 
-	// MaxAttempts and RetryBackoff configure the pool's task retry
-	// policy (0 = engine defaults).
-	MaxAttempts  int
-	RetryBackoff time.Duration
-	Breaker      *engine.Breaker
-	Hedge        engine.HedgeConfig
 	// CheckpointEvery persists each task's fold state every N completed
 	// invocations (the per-task resume knob; window-state checkpointing
 	// is always on). 0 = off.
 	CheckpointEvery int
-	// StageDeadline runs every map/reduce phase and shuffle fetch under
-	// a watchdog; a timed-out pooled phase is re-executed once.
-	StageDeadline time.Duration
-	Jitter        *engine.Jitter
-	// Injector derives a deterministic fault plan for every task and
-	// fetch (chaos testing); VerifyInputs arms the mutate-input canary.
-	Injector     *faults.Injector
-	VerifyInputs bool
-	Trace        *trace.Tracer
 	// Shuffle configures each window's exchange; Partitions, Trace,
-	// Lineage and (when unset) Injector are filled per window.
+	// Lineage and (when unset) Injector and Jitter are filled per window.
 	Shuffle shuffle.Config
-	// Checkpoints, when set, is the durable store window state persists
-	// to (scoped by JobID) — pass a disk-backed store to survive process
-	// restarts. nil keeps a private in-memory store.
-	Checkpoints *recovery.CheckpointStore
-	Lineage     *recovery.Lineage
-	JobID       string
-	Tenant      string
-	// Canceled, when set, is polled at every batch and phase boundary:
-	// once closed, open windows are abandoned (no spill or block leaks)
-	// and the run fails with engine.ErrCanceled.
-	Canceled <-chan struct{}
 
 	// CrashAfterBatches > 0 stops the run with ErrCrashed after that
 	// many batches, before closing any window the watermark has passed —
@@ -206,7 +187,6 @@ type runner struct {
 	comp   *engine.Compiled
 	src    *workload.Unbounded
 	ckpts  *recovery.CheckpointStore
-	lin    *recovery.Lineage
 	res    *Result
 	span   *trace.Span
 	hist   *trace.Histogram
@@ -227,22 +207,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("stream: compiling %s: %w", d, err)
 		}
 	}
-	ckpts := cfg.Checkpoints
-	if ckpts == nil {
-		ckpts = recovery.NewCheckpointStore()
-	}
-	lin := cfg.Lineage
-	if lin == nil {
-		lin = recovery.NewLineage()
-	}
-	if cfg.JobID != "" {
-		ckpts = ckpts.Scope(cfg.JobID)
-		lin = lin.Scope(cfg.JobID)
-	}
-	cfg.Breaker.EnsureTrace(cfg.Trace)
+	ckpts, _ := cfg.Stores()
 	r := &runner{
 		cfg: cfg, comp: comp, src: cfg.App.Source(cfg.Seed),
-		ckpts: ckpts, lin: lin, res: &Result{}, open: map[int]*windowState{},
+		ckpts: ckpts, res: &Result{}, open: map[int]*windowState{},
 	}
 	r.hist = cfg.Trace.Registry().Histogram(
 		trace.Name("stream_batch_latency_ns", "app", cfg.App.Name, "mode", cfg.Mode.String()),
@@ -385,21 +353,12 @@ func (r *runner) window(w int) (*windowState, error) {
 	if st, ok := r.open[w]; ok {
 		return st, nil
 	}
-	scfg := r.cfg.Shuffle
-	scfg.Partitions = r.cfg.Reducers
-	scfg.Trace = r.cfg.Trace
-	scfg.Lineage = r.lin
-	if scfg.Injector == nil {
-		scfg.Injector = r.cfg.Injector
-	}
-	if scfg.Jitter == nil {
-		scfg.Jitter = r.cfg.Jitter
-	}
 	var codec *serde.Codec
 	if r.cfg.Mode == engine.Baseline {
 		codec = r.comp.Codec
 	}
-	ex, err := shuffle.NewExchange(shuffle.NewStore(), scfg, r.exName(w),
+	ex, err := shuffle.NewExchange(shuffle.NewStore(),
+		r.cfg.Shuffle.ForPolicy(&r.cfg.Policy, r.cfg.Reducers), r.exName(w),
 		r.comp.Layouts, r.cfg.App.MapOutClass, r.cfg.App.KeyField, codec)
 	if err != nil {
 		return nil, fmt.Errorf("stream: window %d: %w", w, err)
@@ -494,17 +453,13 @@ func (r *runner) processBatch(lo, hi int64) error {
 			if len(buf) == 0 {
 				continue
 			}
-			name := fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, st.flushes, m)
 			specs = append(specs, engine.TaskSpec{
-				Name:   name,
+				Name:   fmt.Sprintf("stream-%s-w%d-b%d-m%d", r.cfg.App.Name, w, st.flushes, m),
 				Driver: r.cfg.App.MapDriver,
 				Invocations: []map[string]engine.Input{
 					{"in": {Class: r.cfg.App.InClass, Buf: buf}},
 				},
-				ClosureBytes:    r.cfg.ClosureBytes,
-				Faults:          r.cfg.Injector.ForTask(name),
-				CheckpointEvery: r.cfg.CheckpointEvery,
-				Checkpoints:     r.ckpts,
+				ClosureBytes: r.cfg.ClosureBytes,
 			})
 			targets = append(targets, target{w, m})
 		}
@@ -584,24 +539,13 @@ func (r *runner) closeWindow(w int) error {
 
 // foldWindow drains a window's exchange and folds each key group.
 func (r *runner) foldWindow(st *windowState) ([]byte, error) {
-	exName := r.exName(st.idx)
 	for m, wr := range st.writers {
 		if err := wr.Close(); err != nil {
 			return nil, fmt.Errorf("shuffle close: %w", err)
 		}
-		// Block lineage: losing every replica of this slot's blocks
-		// re-runs just this writer over the retained map-output bytes.
-		part := st.acc[m]
-		slot := m
-		r.lin.Register(exName, slot, func() error {
-			rw := st.ex.RecoveryWriter(slot)
-			if err := rw.Add(part); err != nil {
-				return err
-			}
-			return rw.Close()
-		})
+		st.ex.Retain(m, st.acc[m])
 	}
-	blocks, err := r.guardedFetch(exName, st.ex)
+	blocks, err := st.ex.Fetch(&r.cfg.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle fetch: %w", err)
 	}
@@ -619,7 +563,7 @@ func (r *runner) foldWindow(st *windowState) ([]byte, error) {
 		// (map-side blocks are each key-sorted; this is the reduce-side
 		// merge), then fold groups. Stable sort keeps same-key records
 		// in shuffle (key, seq) order, so fold order is deterministic.
-		block = r.sortByKey(block)
+		block = engine.SortByKey(r.comp, r.cfg.App.MapOutClass, r.cfg.App.KeyField, block)
 		blocks[i] = block
 		_, groups, err := engine.GroupByKey(r.comp.Layouts, r.cfg.App.MapOutClass,
 			r.cfg.App.KeyField, block)
@@ -632,15 +576,11 @@ func (r *runner) foldWindow(st *windowState) ([]byte, error) {
 				"in": {Class: r.cfg.App.MapOutClass, Buf: block, Offs: offs, Owned: true},
 			})
 		}
-		name := fmt.Sprintf("stream-%s-w%d-red%d", r.cfg.App.Name, st.idx, i)
 		specs = append(specs, engine.TaskSpec{
-			Name:            name,
-			Driver:          r.cfg.App.ReduceDriver,
-			Invocations:     invocations,
-			ClosureBytes:    r.cfg.ClosureBytes,
-			Faults:          r.cfg.Injector.ForTask(name),
-			CheckpointEvery: r.cfg.CheckpointEvery,
-			Checkpoints:     r.ckpts,
+			Name:         fmt.Sprintf("stream-%s-w%d-red%d", r.cfg.App.Name, st.idx, i),
+			Driver:       r.cfg.App.ReduceDriver,
+			Invocations:  invocations,
+			ClosureBytes: r.cfg.ClosureBytes,
 		})
 		blockOf = append(blockOf, i)
 	}
@@ -664,72 +604,12 @@ func (r *runner) foldWindow(st *windowState) ([]byte, error) {
 	return out, nil
 }
 
-// sortByKey rebuilds buf with records sorted by canonical key bytes
-// (stable, so same-key order is preserved) — the reduce-side merge.
-func (r *runner) sortByKey(buf []byte) []byte {
-	offs := engine.RecordOffsets(buf)
-	keys := make([]string, len(offs))
-	for i, off := range offs {
-		k, err := engine.KeyOf(r.comp.Layouts, r.cfg.App.MapOutClass,
-			r.cfg.App.KeyField, buf, off)
-		if err != nil {
-			panic(fmt.Sprintf("stream: sortByKey: %v", err))
-		}
-		keys[i] = string(k)
-	}
-	idx := make([]int, len(offs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]byte, 0, len(buf))
-	for _, i := range idx {
-		off := offs[i]
-		out = append(out, buf[off:off+serde.RecordSize(buf, off)]...)
-	}
-	return out
-}
-
-// phase runs one pooled phase under the stage watchdog, mirroring the
-// batch engines: a timed-out phase is presumed hung and re-executed
-// once, with checkpointed tasks resuming from persisted fold state.
+// phase runs one pooled map or reduce phase under the run's policy,
+// exactly like the batch engines' stages.
 func (r *runner) phase(name string, specs []engine.TaskSpec) (*engine.JobResult, error) {
-	if err := engine.Canceled(r.cfg.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	pool := &engine.Pool{Workers: r.cfg.Workers, MaxAttempts: r.cfg.MaxAttempts,
-		Backoff: r.cfg.RetryBackoff, Jitter: r.cfg.Jitter}
-	exec := func() *engine.Executor {
-		return &engine.Executor{C: r.comp, Mode: r.cfg.Mode, HeapCfg: r.cfg.HeapCfg,
-			Backend: r.cfg.Backend,
-			Breaker: r.cfg.Breaker, VerifyInputs: r.cfg.VerifyInputs,
-			Hedge: r.cfg.Hedge, Trace: r.cfg.Trace, Tenant: r.cfg.Tenant}
-	}
-	if r.cfg.StageDeadline <= 0 {
-		return pool.Run(exec, specs)
-	}
-	wd := recovery.Watchdog{Deadline: r.cfg.StageDeadline, Trace: r.cfg.Trace}
-	run := func() (any, error) { return pool.Run(exec, specs) }
-	res, err := wd.Guard(name, run)
-	if err != nil && errors.Is(err, recovery.ErrStageTimeout) {
-		res, err = wd.Guard(name+"#retry", run)
-	}
-	job, _ := res.(*engine.JobResult)
-	return job, err
-}
-
-// guardedFetch bounds a window's terminal fetch with the watchdog.
-func (r *runner) guardedFetch(name string, ex *shuffle.Exchange) ([][]byte, error) {
-	if err := engine.Canceled(r.cfg.Canceled); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if r.cfg.StageDeadline <= 0 {
-		return ex.FetchAll()
-	}
-	wd := recovery.Watchdog{Deadline: r.cfg.StageDeadline, Trace: r.cfg.Trace}
-	res, err := wd.Guard(name+"/fetch", func() (any, error) { return ex.FetchAll() })
-	blocks, _ := res.([][]byte)
-	return blocks, err
+	return engine.RunStage(&r.cfg.Policy, engine.Stage{Name: name, C: r.comp, Mode: r.cfg.Mode,
+		Workers: r.cfg.Workers, HeapCfg: r.cfg.HeapCfg, CheckpointEvery: r.cfg.CheckpointEvery,
+		Specs: specs})
 }
 
 // resume restores a prior run's progress from the checkpoint store:
@@ -869,17 +749,13 @@ func (r *runner) rebuildFromSource(w int) error {
 		if len(buf) == 0 {
 			continue
 		}
-		name := fmt.Sprintf("stream-%s-w%d-rb-m%d", r.cfg.App.Name, w, m)
 		specs = append(specs, engine.TaskSpec{
-			Name:   name,
+			Name:   fmt.Sprintf("stream-%s-w%d-rb-m%d", r.cfg.App.Name, w, m),
 			Driver: r.cfg.App.MapDriver,
 			Invocations: []map[string]engine.Input{
 				{"in": {Class: r.cfg.App.InClass, Buf: buf}},
 			},
-			ClosureBytes:    r.cfg.ClosureBytes,
-			Faults:          r.cfg.Injector.ForTask(name),
-			CheckpointEvery: r.cfg.CheckpointEvery,
-			Checkpoints:     r.ckpts,
+			ClosureBytes: r.cfg.ClosureBytes,
 		})
 		slots = append(slots, m)
 	}
