@@ -35,6 +35,11 @@
 //	POST /cancel?id=JOBID    Cancel a queued (or cooperatively, running) job.
 //	POST /quitz              Drain the service and exit.
 //
+// A present but malformed integer parameter (chaos, memory, weight,
+// quota, depth) or a weight below 1 answers 400; quota=-1 resets a
+// tenant to unlimited. The state-changing endpoints (submit, tenant,
+// cancel, quitz) answer 405 to any method but POST.
+//
 // The per-tenant view: /statusz carries a "cluster" source with each
 // tenant's queued/running/done counts, quota usage and p50/p99 job
 // latency; /metrics carries cluster_jobs_*_total{tenant},
@@ -49,6 +54,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -138,8 +144,18 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	seed, err := intParam(q, "chaos")
+	if err != nil {
+		badRequest(w, err)
+		return
+	}
+	mem, err := intParam(q, "memory")
+	if err != nil {
+		badRequest(w, err)
+		return
+	}
 	cfg := d.base
-	if seed, _ := strconv.ParseInt(q.Get("chaos"), 10, 64); seed != 0 {
+	if seed != 0 {
 		// Deterministic fault plan for just this submission — the chaos
 		// tenant's outputs must stay byte-identical to its calm runs.
 		cfg.Injector = faults.Chaos(seed)
@@ -155,10 +171,10 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	spec, err := bench.ClusterJob(app, cfg, mode)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
-	if mem, _ := strconv.ParseInt(q.Get("memory"), 10, 64); mem > 0 {
+	if mem > 0 {
 		spec.MemoryBytes = mem
 	}
 
@@ -225,12 +241,58 @@ func (d *daemon) handleTenant(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "name is required"})
 		return
 	}
-	var tc cluster.TenantConfig
-	tc.Weight, _ = strconv.Atoi(q.Get("weight"))
-	tc.QuotaBytes, _ = strconv.ParseInt(q.Get("quota"), 10, 64)
-	tc.QueueDepth, _ = strconv.Atoi(q.Get("depth"))
-	d.svc.ConfigureTenant(name, tc)
+	weight, err := intParam(q, "weight")
+	if err == nil && q.Has("weight") && weight < 1 {
+		err = fmt.Errorf("weight must be at least 1, got %d", weight)
+	}
+	quota, qerr := intParam(q, "quota")
+	depth, derr := intParam(q, "depth")
+	if err = errors.Join(err, qerr, derr); err != nil {
+		badRequest(w, err)
+		return
+	}
+	// quota=-1 resets the tenant to unlimited (cluster.TenantConfig).
+	d.svc.ConfigureTenant(name, cluster.TenantConfig{
+		Weight: int(weight), QuotaBytes: quota, QueueDepth: int(depth)})
 	writeJSON(w, http.StatusOK, map[string]string{"tenant": name, "status": "configured"})
+}
+
+// intParam parses an integer query parameter; an absent one reads 0.
+func intParam(q url.Values, name string) (int64, error) {
+	if !q.Has(name) {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(q.Get(name), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s=%q is not an integer", name, q.Get(name))
+	}
+	return n, nil
+}
+
+func badRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+}
+
+// post answers 405 to any method but POST: the endpoint changes state.
+func post(h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			w.Header().Set("Allow", http.MethodPost)
+			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": r.URL.Path + " needs POST"})
+			return
+		}
+		h(w, r)
+	})
+}
+
+// routes mounts the submission API.
+func (d *daemon) routes(mux interface{ Handle(string, http.Handler) }) {
+	mux.Handle("/submit", post(d.handleSubmit))
+	mux.Handle("/await", http.HandlerFunc(d.handleAwait))
+	mux.Handle("/cancel", post(d.handleCancel))
+	mux.Handle("/jobs", http.HandlerFunc(d.handleJobs))
+	mux.Handle("/tenant", post(d.handleTenant))
+	mux.Handle("/quitz", post(d.handleQuitz))
 }
 
 func (d *daemon) handleQuitz(w http.ResponseWriter, r *http.Request) {
@@ -307,12 +369,7 @@ func main() {
 
 	server := obs.NewServer(tr)
 	server.AddStatus("cluster", func() any { return svc.Status() })
-	server.Handle("/submit", http.HandlerFunc(d.handleSubmit))
-	server.Handle("/await", http.HandlerFunc(d.handleAwait))
-	server.Handle("/cancel", http.HandlerFunc(d.handleCancel))
-	server.Handle("/jobs", http.HandlerFunc(d.handleJobs))
-	server.Handle("/tenant", http.HandlerFunc(d.handleTenant))
-	server.Handle("/quitz", http.HandlerFunc(d.handleQuitz))
+	d.routes(server)
 	if err := server.Start(*addr); err != nil {
 		fatal(err)
 	}

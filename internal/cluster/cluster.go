@@ -20,10 +20,11 @@
 //     under saturation, and a newly active tenant joins at the current
 //     clock rather than starving the backlog or being starved by it.
 //   - Scoped shared state. Every job gets a tenant-scoped breaker view
-//     (engine.Breaker.Scoped) and job-scoped checkpoint/lineage views
-//     (recovery.Scope), so one tenant's fault-injected aborts cannot
-//     de-speculate another tenant's drivers and two jobs registering
-//     same-named exchanges cannot serve each other's bytes.
+//     (engine.Breaker.Scoped), a job-scoped checkpoint view
+//     (recovery.Scope) and a lineage registry of its own, so one
+//     tenant's fault-injected aborts cannot de-speculate another
+//     tenant's drivers and two jobs registering same-named exchanges
+//     cannot serve each other's bytes.
 //   - Per-tenant attribution. Submission, completion, rejection and
 //     cancellation counters, queue/quota gauges, and job-latency
 //     histograms are emitted per tenant into the trace registry
@@ -136,8 +137,10 @@ type JobContext struct {
 	// Breaker is the tenant-scoped view of the service breaker: this
 	// tenant's aborts trip only this tenant's entries.
 	Breaker *engine.Breaker
-	// Checkpoints and Lineage are job-scoped views of the service-wide
-	// stores.
+	// Checkpoints is a job-scoped view of the service-wide store.
+	// Lineage is the job's own registry: nothing reads it after the job
+	// ends, so its rebuild closures (and the map output they retain) die
+	// with the job.
 	Checkpoints *recovery.CheckpointStore
 	Lineage     *recovery.Lineage
 	// Canceled is closed when the job is canceled while running;
@@ -239,7 +242,6 @@ type Service struct {
 	cfg Config
 
 	checkpoints *recovery.CheckpointStore
-	lineage     *recovery.Lineage
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -254,8 +256,8 @@ type Service struct {
 }
 
 // New starts a service with cfg.Workers workers. The service owns one
-// checkpoint store and one lineage registry; every job runs against
-// job-scoped views of them.
+// checkpoint store; every job runs against a job-scoped view of it and
+// its own lineage registry.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ckpts := cfg.Checkpoints
@@ -265,7 +267,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:         cfg,
 		checkpoints: ckpts,
-		lineage:     recovery.NewLineage(),
 		tenants:     make(map[string]*tenantState),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -479,7 +480,7 @@ func (s *Service) runJob(j *Job, t *tenantState) {
 		Trace:       s.cfg.Trace,
 		Breaker:     t.breaker,
 		Checkpoints: s.checkpoints.Scope(j.ID),
-		Lineage:     s.lineage.Scope(j.ID),
+		Lineage:     recovery.NewLineage(),
 		Canceled:    j.cancel,
 	}
 	out, err := func() (out []byte, err error) {

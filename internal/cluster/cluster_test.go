@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -341,5 +342,39 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if st.P50LatencyNs <= 0 || st.P99LatencyNs < st.P50LatencyNs {
 		t.Fatalf("latency quantiles = p50 %v p99 %v", st.P50LatencyNs, st.P99LatencyNs)
+	}
+}
+
+// TestFinishedJobLineageIsCollected: a job's lineage registry must not
+// outlive the job. The producer closure retains a buffer whose
+// finalizer fires only once nothing references the closure any more.
+func TestFinishedJobLineageIsCollected(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+
+	collected := make(chan struct{})
+	j, err := svc.Submit("alice", JobSpec{Name: "lineage", Run: func(jc *JobContext) ([]byte, error) {
+		buf := make([]byte, 1<<20)
+		runtime.SetFinalizer(&buf[0], func(*byte) { close(collected) })
+		jc.Lineage.Register("shuffle-0", 0, func() error { buf[0]++; return nil })
+		return []byte("done"), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Await(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a finished job's lineage closure is still reachable after 5s")
+		}
 	}
 }

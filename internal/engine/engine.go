@@ -12,6 +12,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -259,33 +260,15 @@ type Executor struct {
 // pool uses to decide on retries. Even on error the partial Stats are
 // returned, so failed attempts stay visible in the job accounting.
 func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
-	start := time.Now()
-	task := e.Trace.StartSpan("task", spec.Name,
-		trace.Str("driver", spec.Driver), trace.Str("mode", e.Mode.String()))
-	var bd metrics.Breakdown
-	bd.Attempts++
-	finish := func(outcome string) {
-		task.End(trace.Str("outcome", outcome),
-			trace.I64("attempts", bd.Attempts), trace.I64("aborts", bd.Aborts))
-		latency := "task_latency_ns"
-		if e.Tenant != "" {
-			latency = trace.Name(latency, "tenant", e.Tenant)
-		}
-		e.Trace.Registry().Histogram(latency, trace.LatencyBuckets()...).
-			Observe(float64(time.Since(start)))
-	}
-	fail := func(err error) (TaskResult, error) {
-		bd.Total = time.Since(start)
-		task.Instant("fault", "task-error",
-			trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
-		finish("error")
-		return TaskResult{Stats: bd}, taskErr(spec.Name, err)
-	}
+	r := &taskRun{e: e, spec: spec, start: time.Now(),
+		span: e.Trace.StartSpan("task", spec.Name,
+			trace.Str("driver", spec.Driver), trace.Str("mode", e.Mode.String()))}
+	r.bd.Attempts++
 
 	// Closure shipping: serialize on the "driver", deserialize here.
 	serT, deserT := simulateClosure(spec.ClosureBytes)
-	bd.Ser += serT
-	bd.Deser += deserT
+	r.bd.Ser += serT
+	r.bd.Deser += deserT
 
 	// Attempt-level injected faults (slow task, lost attempt, OOM).
 	if p := spec.Faults; p != nil {
@@ -294,79 +277,178 @@ func (e *Executor) RunTask(spec TaskSpec) (TaskResult, error) {
 		}
 		attempt := p.TakeAttempt()
 		if attempt <= int64(p.TransientFailures) {
-			task.Instant("fault", "injected-transient", trace.I64("attempt", attempt))
-			return fail(&TaskError{Task: spec.Name, Class: FaultTransient,
+			r.span.Instant("fault", "injected-transient", trace.I64("attempt", attempt))
+			return r.fail(&TaskError{Task: spec.Name, Class: FaultTransient,
 				Err: fmt.Errorf("injected transient failure (attempt %d)", attempt)})
 		}
 		if attempt <= int64(p.TransientFailures+p.OOMFailures) {
-			task.Instant("fault", "injected-oom", trace.I64("attempt", attempt))
-			return fail(&TaskError{Task: spec.Name, Class: FaultOOM,
+			r.span.Instant("fault", "injected-oom", trace.I64("attempt", attempt))
+			return r.fail(&TaskError{Task: spec.Name, Class: FaultOOM,
 				Err: fmt.Errorf("injected allocation failure (attempt %d): %w", attempt, heap.ErrOutOfMemory)})
 		}
 	}
 
-	var sum uint64
-	if e.VerifyInputs {
-		sum = checksumInputs(spec)
-	}
-
 	if e.Mode == Gerenuk && e.C.CanRunNative(spec.Driver) {
 		if e.Breaker.Allow(spec.Driver) {
-			if delay, hedged := e.hedgeDelay(); hedged {
-				return e.runTaskHedged(spec, task, start, &bd, sum, delay, finish, fail)
-			}
-			att := task.Child("attempt", "native-attempt")
-			out, attempt, err := e.runNativeAttempt(spec, att, nil)
-			bd.Add(attempt)
-			switch {
-			case err == nil:
-				att.End(trace.Str("outcome", "ok"))
-				e.Breaker.Record(spec.Driver, false)
-				if e.VerifyInputs && checksumInputs(spec) != sum {
-					return fail(&TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated})
-				}
-				bd.Total = time.Since(start)
-				finish("ok")
-				return TaskResult{Out: out, Stats: bd}, nil
-			case Classify(err) == AbortSpeculation || Classify(err) == FaultOOM:
-				// Abort (or a native-side allocation failure, equally a
-				// failed speculation): discard the attempt — heap, arena
-				// and partial output all die with it — and fall through
-				// to the slow path over the pristine inputs.
-				att.End(trace.Str("outcome", "abort"))
-				e.Breaker.Record(spec.Driver, true)
-				bd.Aborts++
-				task.Instant("abort", "speculation-abort",
-					trace.Str("class", Classify(err).String()),
-					trace.Str("reason", err.Error()))
-				e.Trace.Registry().Counter("aborts_total").Add(1)
-				e.recordDeopt(spec.Driver)
-				if e.VerifyInputs && checksumInputs(spec) != sum {
-					return fail(&TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated})
-				}
-			default:
-				att.End(trace.Str("outcome", "error"))
-				return fail(err)
-			}
-		} else {
-			// Open breaker: skip the doomed native attempt.
-			bd.NativeSkips++
-			task.Instant("breaker", "native-skip", trace.Str("driver", spec.Driver))
-			e.Trace.Registry().Counter("native_skips_total").Add(1)
+			return r.speculate()
 		}
+		// Open breaker: skip the doomed native attempt.
+		r.bd.NativeSkips++
+		r.span.Instant("breaker", "native-skip", trace.Str("driver", spec.Driver))
+		e.Trace.Registry().Counter("native_skips_total").Add(1)
 	}
+	return r.fallback()
+}
 
-	att := task.Child("attempt", "heap-attempt")
-	out, slow, err := e.runHeapAttempt(spec, att, nil)
-	bd.Add(slow)
-	if err != nil {
+// taskRun is one execution of a task: the spec, its span and clock, and
+// the Breakdown every attempt of it accumulates into. Its methods are
+// the attempt state machine: speculate and race (hedge.go) run the
+// attempts, settleNative and settleHeap classify what they return,
+// fallback is the heap path, and succeed and fail end the task.
+type taskRun struct {
+	e     *Executor
+	spec  TaskSpec
+	span  *trace.Span
+	start time.Time
+	bd    metrics.Breakdown
+	// sum is the input checksum taken before speculation; canary is set
+	// while it still has to be re-verified (VerifyInputs only).
+	sum    uint64
+	canary bool
+}
+
+// attemptOutcome is one attempt's result. A racing attempt hands it back
+// over a channel, so the task goroutine aggregates stats without shared
+// state.
+type attemptOutcome struct {
+	out []byte
+	bd  metrics.Breakdown
+	err error
+}
+
+// verdict is what a finished native attempt means for its task.
+type verdict int
+
+const (
+	nativeOK verdict = iota
+	// nativeAbort is a failed speculation (an allocation failure in the
+	// native attempt included): the heap path must answer.
+	nativeAbort
+	// nativeCanceled lost a hedge race; it ran to no verdict.
+	nativeCanceled
+	// nativeError fails the task, hedged or not.
+	nativeError
+)
+
+// settleNative folds a finished native attempt into the run, closes its
+// span and classifies it — the one place a native outcome is decided.
+// Completed attempts (ok or abort) go to the breaker; an abort is also
+// counted and, when compiled code ran, counted as a deoptimization.
+func (r *taskRun) settleNative(att *trace.Span, nr attemptOutcome) verdict {
+	e, reg := r.e, r.e.Trace.Registry()
+	r.bd.Add(nr.bd)
+	switch {
+	case nr.err == nil:
+		att.End(trace.Str("outcome", "ok"))
+		e.Breaker.Record(r.spec.Driver, false)
+		return nativeOK
+	case errors.Is(nr.err, interp.ErrCanceled):
+		att.End(trace.Str("outcome", "canceled"))
+		r.span.Instant("hedge", "hedge-cancel", trace.Str("loser", "native"))
+		reg.Counter("hedge_cancels_total").Add(1)
+		return nativeCanceled
+	case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
+		// Discard the attempt — heap, arena and partial output all died
+		// with it; the heap path reruns over the pristine inputs.
+		att.End(trace.Str("outcome", "abort"))
+		e.Breaker.Record(r.spec.Driver, true)
+		r.bd.Aborts++
+		r.span.Instant("abort", "speculation-abort",
+			trace.Str("class", Classify(nr.err).String()), trace.Str("reason", nr.err.Error()))
+		reg.Counter("aborts_total").Add(1)
+		e.recordDeopt(r.spec.Driver)
+		return nativeAbort
+	default:
 		att.End(trace.Str("outcome", "error"))
-		return fail(err)
+		return nativeError
 	}
-	att.End(trace.Str("outcome", "ok"))
-	bd.Total = time.Since(start)
-	finish("ok")
-	return TaskResult{Out: out, Stats: bd}, nil
+}
+
+// settleHeap folds a finished heap attempt into the run and closes its
+// span; an attempt the task canceled closes "canceled" whatever it
+// returned. It returns the attempt's error.
+func (r *taskRun) settleHeap(att *trace.Span, hr attemptOutcome, canceled bool) error {
+	r.bd.Add(hr.bd)
+	switch {
+	case canceled:
+		att.End(trace.Str("outcome", "canceled"))
+	case hr.err != nil:
+		att.End(trace.Str("outcome", "error"))
+	default:
+		att.End(trace.Str("outcome", "ok"))
+	}
+	return hr.err
+}
+
+// fallback runs the original driver on the heap, synchronously: the
+// whole task when nothing speculates, or the recovery after an abort.
+func (r *taskRun) fallback() (TaskResult, error) {
+	// Speculation is over: a violated input fails the task before the
+	// heap path reads the corrupt bytes.
+	if err := r.checkCanary(); err != nil {
+		return r.fail(err)
+	}
+	att := r.span.Child("attempt", "heap-attempt")
+	out, bd, err := r.e.runHeapAttempt(r.spec, att, nil)
+	if err := r.settleHeap(att, attemptOutcome{out, bd, err}, false); err != nil {
+		return r.fail(err)
+	}
+	return r.succeed(out)
+}
+
+// checkCanary re-verifies the input checksum taken before speculation,
+// once: after every speculative attempt has settled, so a hedge can
+// never mask corruption.
+func (r *taskRun) checkCanary() error {
+	if !r.canary {
+		return nil
+	}
+	r.canary = false
+	if checksumInputs(r.spec) != r.sum {
+		return &TaskError{Task: r.spec.Name, Class: FaultPermanent, Err: ErrInputMutated}
+	}
+	return nil
+}
+
+// succeed is the one success tail: the canary, the task's total time,
+// and the task span.
+func (r *taskRun) succeed(out []byte) (TaskResult, error) {
+	if err := r.checkCanary(); err != nil {
+		return r.fail(err)
+	}
+	r.bd.Total = time.Since(r.start)
+	r.finish("ok")
+	return TaskResult{Out: out, Stats: r.bd}, nil
+}
+
+func (r *taskRun) fail(err error) (TaskResult, error) {
+	r.bd.Total = time.Since(r.start)
+	r.span.Instant("fault", "task-error",
+		trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
+	r.finish("error")
+	return TaskResult{Stats: r.bd}, taskErr(r.spec.Name, err)
+}
+
+// finish closes the task span and observes the task latency.
+func (r *taskRun) finish(outcome string) {
+	r.span.End(trace.Str("outcome", outcome),
+		trace.I64("attempts", r.bd.Attempts), trace.I64("aborts", r.bd.Aborts))
+	latency := "task_latency_ns"
+	if r.e.Tenant != "" {
+		latency = trace.Name(latency, "tenant", r.e.Tenant)
+	}
+	r.e.Trace.Registry().Histogram(latency, trace.LatencyBuckets()...).
+		Observe(float64(time.Since(r.start)))
 }
 
 // checksumInputs hashes every input buffer of the task (FNV-1a over
@@ -699,11 +781,4 @@ func simulateClosure(n int) (ser, deser time.Duration) {
 	_ = sum
 	deser = time.Since(t1)
 	return ser, deser
-}
-
-// RunNativeDebug exposes the native attempt for tests diagnosing abort
-// reasons.
-func (e *Executor) RunNativeDebug(spec TaskSpec) ([]byte, error) {
-	out, _, err := e.runNativeAttempt(spec, nil, nil)
-	return out, err
 }

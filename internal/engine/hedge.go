@@ -25,12 +25,9 @@
 package engine
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/interp"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -128,216 +125,115 @@ func (c *canceler) sleep(d time.Duration) bool {
 	}
 }
 
-// attemptOutcome is one racing attempt's result, handed back over a
-// channel so the task goroutine aggregates stats without shared state.
-type attemptOutcome struct {
-	out []byte
-	bd  metrics.Breakdown
-	err error
+// speculate runs the native attempt, then settles it. Unhedged is the
+// hedged flow whose hedge never fires: with no hedge delay armed the
+// native attempt runs synchronously on the task goroutine (no goroutine,
+// timer or channel), and a hedged native attempt that beats the delay
+// is settled exactly the same way.
+func (r *taskRun) speculate() (TaskResult, error) {
+	e, spec := r.e, r.spec
+	if e.VerifyInputs {
+		r.sum, r.canary = checksumInputs(spec), true
+	}
+	natt := r.span.Child("attempt", "native-attempt")
+	var nr attemptOutcome
+	if delay, hedged := e.hedgeDelay(); !hedged {
+		nr.out, nr.bd, nr.err = e.runNativeAttempt(spec, natt, nil)
+	} else {
+		cancel := newCanceler()
+		ch := make(chan attemptOutcome, 1)
+		go func() {
+			out, bd, err := e.runNativeAttempt(spec, natt, cancel)
+			ch <- attemptOutcome{out, bd, err}
+		}()
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		// First finisher wins: a native attempt that completes just as
+		// the hedge delay expires may go either way, and both outcomes
+		// are valid.
+		select {
+		case nr = <-ch:
+		case <-timer.C:
+			return r.race(natt, ch, cancel, delay)
+		}
+	}
+	switch r.settleNative(natt, nr) {
+	case nativeOK:
+		return r.succeed(nr.out)
+	case nativeAbort:
+		return r.fallback()
+	default:
+		return r.fail(nr.err)
+	}
 }
 
-// runTaskHedged is RunTask's native branch with hedging armed. It owns
-// the full task outcome from here: the native attempt starts
-// immediately in its own goroutine; if it outlives the hedge delay, the
-// heap attempt launches beside it and the first finisher wins. Both
-// channels are always drained before returning, so no attempt goroutine
-// outlives its task and every attempt's cost lands in the job
-// accounting (a canceled loser's partial work is real work the hedge
-// spent).
-func (e *Executor) runTaskHedged(spec TaskSpec, task *trace.Span, start time.Time,
-	bd *metrics.Breakdown, sum uint64, delay time.Duration,
-	finish func(string), fail func(error) (TaskResult, error)) (TaskResult, error) {
-
+// race launches the heap hedge beside a native attempt that outlived the
+// hedge delay. The first finisher decides whether the other attempt is
+// canceled or awaited; both channels are always drained before the task
+// returns, so no attempt goroutine outlives its task and every attempt's
+// cost lands in the job accounting (a canceled loser's partial work is
+// real work the hedge spent).
+func (r *taskRun) race(natt *trace.Span, nativeCh <-chan attemptOutcome,
+	nativeCancel *canceler, delay time.Duration) (TaskResult, error) {
+	e, spec := r.e, r.spec
 	reg := e.Trace.Registry()
-
-	// recordAbort mirrors the synchronous path's breaker and abort
-	// accounting for a native attempt that ran to a failed speculation.
-	recordAbort := func(err error) {
-		e.Breaker.Record(spec.Driver, true)
-		bd.Aborts++
-		task.Instant("abort", "speculation-abort",
-			trace.Str("class", Classify(err).String()), trace.Str("reason", err.Error()))
-		reg.Counter("aborts_total").Add(1)
-		e.recordDeopt(spec.Driver)
-	}
-	// verify re-runs the mutate-input canary. Every caller settles both
-	// attempts first, so a hedged race can never mask a corrupted input:
-	// mutation fails the task loudly, exactly like the unhedged path.
-	verify := func() error {
-		if e.VerifyInputs && checksumInputs(spec) != sum {
-			return &TaskError{Task: spec.Name, Class: FaultPermanent, Err: ErrInputMutated}
-		}
-		return nil
-	}
-	ok := func(out []byte) (TaskResult, error) {
-		if err := verify(); err != nil {
-			return fail(err)
-		}
-		bd.Total = time.Since(start)
-		finish("ok")
-		return TaskResult{Out: out, Stats: *bd}, nil
-	}
-
-	nativeCancel := newCanceler()
-	nativeCh := make(chan attemptOutcome, 1)
-	natt := task.Child("attempt", "native-attempt")
-	go func() {
-		out, abd, err := e.runNativeAttempt(spec, natt, nativeCancel)
-		nativeCh <- attemptOutcome{out: out, bd: abd, err: err}
-	}()
-
-	hedgeTimer := time.NewTimer(delay)
-	defer hedgeTimer.Stop()
-
-	var nr attemptOutcome
-	nativeFirst := false
-	// First finisher wins: a native attempt that completes just as the
-	// hedge delay expires may go either way, and both outcomes are valid.
-	select {
-	case nr = <-nativeCh:
-		nativeFirst = true
-	case <-hedgeTimer.C:
-	}
-
-	if nativeFirst {
-		// The native attempt beat the hedge delay: no intra-task
-		// concurrency happened and the unhedged semantics apply verbatim.
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
-			return ok(nr.out)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-			if err := verify(); err != nil {
-				return fail(err)
-			}
-			hatt := task.Child("attempt", "heap-attempt")
-			out, hbd, err := e.runHeapAttempt(spec, hatt, nil)
-			bd.Add(hbd)
-			if err != nil {
-				hatt.End(trace.Str("outcome", "error"))
-				return fail(err)
-			}
-			hatt.End(trace.Str("outcome", "ok"))
-			bd.Total = time.Since(start)
-			finish("ok")
-			return TaskResult{Out: out, Stats: *bd}, nil
-		default:
-			natt.End(trace.Str("outcome", "error"))
-			return fail(nr.err)
-		}
-	}
-
-	// The hedge fires: launch the untransformed heap attempt over the
-	// same immutable input buffers and take the first finisher.
-	task.Instant("hedge", "hedge-launch",
+	r.span.Instant("hedge", "hedge-launch",
 		trace.Str("driver", spec.Driver), trace.I64("delay_ns", int64(delay)))
 	reg.Counter("hedges_total").Add(1)
-	bd.Hedges++
+	r.bd.Hedges++
 	heapCancel := newCanceler()
 	heapCh := make(chan attemptOutcome, 1)
-	hatt := task.Child("attempt", "heap-hedge")
+	hatt := r.span.Child("attempt", "heap-hedge")
 	go func() {
-		out, hbd, err := e.runHeapAttempt(spec, hatt, heapCancel)
-		heapCh <- attemptOutcome{out: out, bd: hbd, err: err}
+		out, bd, err := e.runHeapAttempt(spec, hatt, heapCancel)
+		heapCh <- attemptOutcome{out, bd, err}
 	}()
 
+	var nr, hr attemptOutcome
+	var nv verdict
+	heapCanceled := false
 	select {
 	case nr = <-nativeCh:
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			// Native finished first after all: cancel the hedge, drain
-			// it, and return the speculative result.
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
+		// An ok or failed native attempt decides the task, so the hedge
+		// lost. After an abort the running hedge IS the heap fallback the
+		// unhedged path would start now: wait for it.
+		nv = r.settleNative(natt, nr)
+		if heapCanceled = nv != nativeAbort; heapCanceled {
 			heapCancel.cancel()
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			hatt.End(trace.Str("outcome", "canceled"))
-			task.Instant("hedge", "hedge-cancel", trace.Str("loser", "heap"))
-			reg.Counter("hedge_cancels_total").Add(1)
-			return ok(nr.out)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			// Failed speculation: the already-running hedge IS the heap
-			// fallback the unhedged path would now start — wait for it.
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			if hr.err != nil {
-				hatt.End(trace.Str("outcome", "error"))
-				return fail(hr.err)
-			}
-			hatt.End(trace.Str("outcome", "ok"))
-			task.Instant("hedge", "hedge-win", trace.Str("driver", spec.Driver))
-			reg.Counter("hedge_wins_total").Add(1)
-			bd.HedgeWins++
-			return ok(hr.out)
-		default:
-			// Permanent native failure fails the task exactly as the
-			// unhedged path would; the hedge's answer must not mask it.
-			natt.End(trace.Str("outcome", "error"))
-			heapCancel.cancel()
-			hr := <-heapCh
-			bd.Add(hr.bd)
-			hatt.End(trace.Str("outcome", "canceled"))
-			return fail(nr.err)
 		}
-
-	case hr := <-heapCh:
-		bd.Add(hr.bd)
-		if hr.err != nil {
-			// The ground-truth path failed. Whether the task fails
-			// depends on the native attempt, so wait for it.
-			hatt.End(trace.Str("outcome", "error"))
-			nr = <-nativeCh
-			bd.Add(nr.bd)
-			switch {
-			case nr.err == nil:
-				natt.End(trace.Str("outcome", "ok"))
-				e.Breaker.Record(spec.Driver, false)
-				return ok(nr.out)
-			case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-				natt.End(trace.Str("outcome", "abort"))
-				recordAbort(nr.err)
-				return fail(hr.err)
-			default:
-				natt.End(trace.Str("outcome", "error"))
-				return fail(nr.err)
-			}
+		hr = <-heapCh
+	case hr = <-heapCh:
+		// A heap answer makes the native attempt a straggler to cancel.
+		// After a heap error the task's outcome rests on the native
+		// attempt, so it runs on.
+		if hr.err == nil {
+			nativeCancel.cancel()
 		}
-		// Hedge win: the heap attempt overtook the straggling native.
-		// Cancel the straggler cooperatively and drain it.
-		hatt.End(trace.Str("outcome", "ok"))
-		task.Instant("hedge", "hedge-win", trace.Str("driver", spec.Driver))
-		reg.Counter("hedge_wins_total").Add(1)
-		bd.HedgeWins++
-		nativeCancel.cancel()
 		nr = <-nativeCh
-		bd.Add(nr.bd)
-		switch {
-		case nr.err == nil:
-			// Lost the race but completed: still a successful
-			// speculation for the breaker (both outputs are identical).
-			natt.End(trace.Str("outcome", "ok"))
-			e.Breaker.Record(spec.Driver, false)
-		case errors.Is(nr.err, interp.ErrCanceled):
-			natt.End(trace.Str("outcome", "canceled"))
-			task.Instant("hedge", "hedge-cancel", trace.Str("loser", "native"))
-			reg.Counter("hedge_cancels_total").Add(1)
-		case Classify(nr.err) == AbortSpeculation || Classify(nr.err) == FaultOOM:
-			natt.End(trace.Str("outcome", "abort"))
-			recordAbort(nr.err)
-		default:
-			// See above: a permanent native failure keeps failing the
-			// task with hedging on.
-			natt.End(trace.Str("outcome", "error"))
-			return fail(nr.err)
-		}
-		return ok(hr.out)
+		nv = r.settleNative(natt, nr)
+	}
+	r.settleHeap(hatt, hr, heapCanceled)
+	if heapCanceled && nv == nativeOK {
+		r.span.Instant("hedge", "hedge-cancel", trace.Str("loser", "heap"))
+		reg.Counter("hedge_cancels_total").Add(1)
+	}
+	heapWon := !heapCanceled && hr.err == nil
+	if heapWon {
+		r.span.Instant("hedge", "hedge-win", trace.Str("driver", spec.Driver))
+		reg.Counter("hedge_wins_total").Add(1)
+		r.bd.HedgeWins++
+	}
+	switch {
+	case nv == nativeError:
+		// A permanent native failure fails the task exactly as the
+		// unhedged path would; the hedge's answer must not mask it.
+		return r.fail(nr.err)
+	case heapWon:
+		return r.succeed(hr.out)
+	case nv == nativeOK:
+		return r.succeed(nr.out)
+	default:
+		// Failed speculation and a failed heap path.
+		return r.fail(hr.err)
 	}
 }
